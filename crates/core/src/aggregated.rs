@@ -19,17 +19,17 @@
 
 use crate::checkpoint::RecordCodec;
 use crate::combine::PanePayload;
-use crate::cost::{PolicyHandle, SizingDirective};
+use crate::cost::PolicyHandle;
 use crate::engine::Engine;
-use crate::output::{RunOutput, WindowResult};
+use crate::output::RunOutput;
 use crate::query::Query;
 use crate::runtime::{ApproxRuntime, ExactAccumulator, PaneCursor};
 use sa_estimate::StratumStats;
 use sa_sampling::OasrsSampler;
 use sa_types::wire::put_varint;
 use sa_types::{
-    EngineSnapshot, EventTime, RunSeed, SaError, StreamItem, Window, WireDecode, WireEncode,
-    WireReader,
+    EngineSnapshot, EventTime, RunSeed, SaError, SizingDirective, StreamItem, Window, WindowResult,
+    WireDecode, WireEncode, WireReader,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -190,38 +190,15 @@ impl<'p, R> AggregatedEngine<'p, R> {
 }
 
 impl<R> Engine<R> for AggregatedEngine<'_, R> {
-    fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
+    fn push_chunk(&mut self, items: &mut Vec<StreamItem<R>>) -> Result<(), SaError> {
         // The shared cursor aligns the first pane to the first item's
         // interval, yields quiet intervals as empty panes (each with its
         // own policy consultation, like the engines' empty
-        // micro-batches), and jumps oversized gaps.
-        let t = item.time.as_millis();
-        while self.cursor.needs_close(t) {
-            if matches!(self.state, PaneState::Idle) {
-                self.open_pane();
-            }
-            self.close_pane();
-            self.cursor.next(t);
-        }
-        if matches!(self.state, PaneState::Idle) {
-            self.open_pane();
-        }
-        match &mut self.state {
-            PaneState::Sampling(sampler) => sampler.observe(item.stratum, item.value),
-            PaneState::Exact(acc) => acc.observe(item.stratum, &item.value),
-            PaneState::Idle => unreachable!("a pane is open whenever an item is observed"),
-        }
-        self.pane_arrived += 1;
-        Ok(())
-    }
-
-    fn push_chunk(&mut self, mut items: Vec<StreamItem<R>>) -> Result<(), SaError> {
-        // The batch fast path: pane-cursor checks run once per pane
-        // portion instead of once per item, and each portion goes to the
-        // sampler/accumulator as one slice. Identical pane/RNG sequence to
-        // the per-item loop, so results are bit-for-bit the same.
-        while !items.is_empty() {
-            let t = items[0].time.as_millis();
+        // micro-batches), and jumps oversized gaps. It runs once per pane
+        // portion of the run, and each portion meets the sampler or
+        // accumulator as one slice.
+        while let Some(head) = items.first() {
+            let t = head.time.as_millis();
             while self.cursor.needs_close(t) {
                 if matches!(self.state, PaneState::Idle) {
                     self.open_pane();
@@ -232,16 +209,16 @@ impl<R> Engine<R> for AggregatedEngine<'_, R> {
             if matches!(self.state, PaneState::Idle) {
                 self.open_pane();
             }
-            let (_, end) = self.cursor.pane().expect("pane open after needs_close");
-            let n = items.partition_point(|it| it.time.as_millis() < end);
-            let rest = items.split_off(n);
-            self.pane_arrived += items.len() as u64;
+            let n = self.cursor.in_pane(items);
+            self.pane_arrived += n as u64;
             match &mut self.state {
-                PaneState::Sampling(sampler) => sampler.observe_batch(&mut items),
-                PaneState::Exact(acc) => acc.observe_slice(&items),
+                PaneState::Sampling(sampler) => sampler.observe_drain(items.drain(..n)),
+                PaneState::Exact(acc) => {
+                    acc.observe_slice(&items[..n]);
+                    items.drain(..n);
+                }
                 PaneState::Idle => unreachable!("a pane is open whenever items are observed"),
             }
-            items = rest;
         }
         Ok(())
     }

@@ -25,9 +25,9 @@
 
 use crate::checkpoint::RecordCodec;
 use crate::combine::PanePayload;
-use crate::cost::{CostPolicy, PolicyHandle, SizingDirective};
+use crate::cost::{CostPolicy, PolicyHandle};
 use crate::engine::Engine;
-use crate::output::{RunOutput, WindowResult};
+use crate::output::RunOutput;
 use crate::query::Query;
 use crate::runtime::{ApproxRuntime, ExactAccumulator, PaneCursor};
 use crate::session::StreamApprox;
@@ -35,8 +35,8 @@ use sa_batched::{Cluster, MicroBatch, Pds};
 use sa_estimate::StratumStats;
 use sa_types::wire::put_varint;
 use sa_types::{
-    EngineSnapshot, EventTime, RunSeed, SaError, StratumId, StreamItem, Window, WireDecode,
-    WireEncode, WireReader,
+    EngineSnapshot, EventTime, RunSeed, SaError, SizingDirective, StratumId, StreamItem, Window,
+    WindowResult, WireDecode, WireEncode, WireReader,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -271,39 +271,19 @@ impl<R> Engine<R> for BatchedEngine<'_, R>
 where
     R: Send + Sync + Clone + 'static,
 {
-    fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
+    fn push_chunk(&mut self, items: &mut Vec<StreamItem<R>>) -> Result<(), SaError> {
         // The shared cursor aligns the first pane to the first item's
         // interval, yields quiet intervals as empty panes (mirroring the
-        // one-shot batcher), and jumps oversized gaps.
-        let t = item.time.as_millis();
-        while self.cursor.needs_close(t) {
-            self.close_pane();
-            self.cursor.next(t);
-        }
-        self.pane_items.push(item);
-        Ok(())
-    }
-
-    fn push_chunk(&mut self, mut items: Vec<StreamItem<R>>) -> Result<(), SaError> {
-        // Buffer whole pane portions at once: the cursor runs once per
-        // pane boundary instead of once per item. Sampling happens at
-        // close_pane either way, so this is trivially identical to the
-        // per-item loop.
-        while !items.is_empty() {
-            let t = items[0].time.as_millis();
+        // one-shot batcher), and jumps oversized gaps. Whole pane portions
+        // are buffered at once; sampling happens at close_pane.
+        while let Some(head) = items.first() {
+            let t = head.time.as_millis();
             while self.cursor.needs_close(t) {
                 self.close_pane();
                 self.cursor.next(t);
             }
-            let (_, end) = self.cursor.pane().expect("pane open after needs_close");
-            let n = items.partition_point(|it| it.time.as_millis() < end);
-            let rest = items.split_off(n);
-            if self.pane_items.is_empty() {
-                self.pane_items = items;
-            } else {
-                self.pane_items.append(&mut items);
-            }
-            items = rest;
+            let n = self.cursor.in_pane(items);
+            self.pane_items.extend(items.drain(..n));
         }
         Ok(())
     }

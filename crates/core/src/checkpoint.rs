@@ -34,9 +34,6 @@
 //! the snapshot format to every policy implementation).
 
 use crate::combine::PanePayload;
-use crate::cost::SizingDirective;
-use crate::output::WindowResult;
-use sa_types::wire::put_varint;
 use sa_types::{SaError, SessionSnapshot, WireDecode, WireEncode, WireReader};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -204,40 +201,12 @@ pub fn open_session_snapshot(sealed: &[u8]) -> Result<SessionSnapshot, SaError> 
     SessionSnapshot::from_wire_bytes(sa_net::open_snapshot(sealed)?)
 }
 
-// --- Core-local snapshot codecs -------------------------------------------
+// --- Core-local snapshot codec --------------------------------------------
 //
-// These types live in this crate (not sa-types), so their wire layouts are
-// defined here, next to the snapshot code that is their only consumer.
-// They follow the same rules as `sa_types::wire`: tag-free layouts, strict
-// decoding, and any change bumps `sa_net::SNAPSHOT_VERSION`.
-
-pub(crate) fn encode_directive(d: &SizingDirective, out: &mut Vec<u8>) {
-    match d {
-        SizingDirective::Fraction(f) => {
-            1u8.encode(out);
-            f.encode(out);
-        }
-        SizingDirective::PerStratum(n) => {
-            2u8.encode(out);
-            n.encode(out);
-        }
-        SizingDirective::SharedTotal(n) => {
-            3u8.encode(out);
-            n.encode(out);
-        }
-        SizingDirective::Everything => 4u8.encode(out),
-    }
-}
-
-pub(crate) fn decode_directive(r: &mut WireReader<'_>) -> Result<SizingDirective, SaError> {
-    match u8::decode(r)? {
-        1 => Ok(SizingDirective::Fraction(f64::decode(r)?)),
-        2 => Ok(SizingDirective::PerStratum(usize::decode(r)?)),
-        3 => Ok(SizingDirective::SharedTotal(usize::decode(r)?)),
-        4 => Ok(SizingDirective::Everything),
-        tag => Err(SaError::Wire(format!("unknown sizing-directive tag {tag}"))),
-    }
-}
+// `PanePayload` lives in this crate (not sa-types), so its wire layout is
+// defined here, next to the snapshot code that is its only consumer. It
+// follows the same rules as `sa_types::wire`: strict decoding, and any
+// change bumps `sa_net::SNAPSHOT_VERSION`.
 
 pub(crate) fn encode_pane_payload(p: &PanePayload, out: &mut Vec<u8>) {
     match p {
@@ -267,33 +236,11 @@ pub(crate) fn decode_pane_payload(r: &mut WireReader<'_>) -> Result<PanePayload,
     }
 }
 
-pub(crate) fn encode_window_result(w: &WindowResult, out: &mut Vec<u8>) {
-    w.window.encode(out);
-    w.sum.encode(out);
-    w.mean.encode(out);
-    w.sum_by_stratum.encode(out);
-    w.mean_by_stratum.encode(out);
-    w.degraded.encode(out);
-    put_varint(out, w.lost_items);
-}
-
-pub(crate) fn decode_window_result(r: &mut WireReader<'_>) -> Result<WindowResult, SaError> {
-    Ok(WindowResult {
-        window: WireDecode::decode(r)?,
-        sum: WireDecode::decode(r)?,
-        mean: WireDecode::decode(r)?,
-        sum_by_stratum: Vec::decode(r)?,
-        mean_by_stratum: Vec::decode(r)?,
-        degraded: bool::decode(r)?,
-        lost_items: r.read_varint()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sa_estimate::{StratumStats, Welford};
-    use sa_types::{ApproxResult, Confidence, ErrorBound, EventTime, StratumId, Window};
+    use sa_types::StratumId;
 
     #[test]
     fn record_codec_roundtrips_values() {
@@ -330,24 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn directive_codec_roundtrips_every_variant() {
-        for d in [
-            SizingDirective::Fraction(0.25),
-            SizingDirective::PerStratum(7),
-            SizingDirective::SharedTotal(1_000),
-            SizingDirective::Everything,
-        ] {
-            let mut out = Vec::new();
-            encode_directive(&d, &mut out);
-            let mut r = WireReader::new(&out);
-            assert_eq!(decode_directive(&mut r).unwrap(), d);
-            assert_eq!(r.remaining(), 0);
-        }
-        let mut r = WireReader::new(&[9]);
-        assert!(matches!(decode_directive(&mut r), Err(SaError::Wire(_))));
-    }
-
-    #[test]
     fn pane_payload_codec_roundtrips_both_variants() {
         let acc: Welford = [1.0, 2.0, 3.0].into_iter().collect();
         let payloads = [
@@ -364,26 +293,5 @@ mod tests {
             assert_eq!(decode_pane_payload(&mut r).unwrap(), p);
             assert_eq!(r.remaining(), 0);
         }
-    }
-
-    #[test]
-    fn window_result_codec_roundtrips_bit_exact() {
-        let result = |v: f64| ApproxResult::new(v, ErrorBound::new(0.5, Confidence::P95), 3, 10);
-        let w = WindowResult {
-            window: Window::new(EventTime::from_secs(0), EventTime::from_secs(10)),
-            sum: result(10.125),
-            mean: result(1.0125),
-            sum_by_stratum: vec![(StratumId(0), result(4.0)), (StratumId(1), result(6.125))],
-            mean_by_stratum: vec![(StratumId(0), result(2.0))],
-            degraded: true,
-            lost_items: 512,
-        };
-        let mut out = Vec::new();
-        encode_window_result(&w, &mut out);
-        let mut r = WireReader::new(&out);
-        let back = decode_window_result(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0);
-        assert_eq!(back, w);
-        assert_eq!(back.sum.value.to_bits(), w.sum.value.to_bits());
     }
 }

@@ -1,11 +1,10 @@
 //! Combining pane payloads into per-window `output ± error bound` results.
 
-use crate::output::WindowResult;
 use sa_estimate::{
     estimate_mean, estimate_mean_by_stratum, estimate_sum, estimate_sum_by_stratum, srs_mean,
     srs_mean_by_stratum, srs_sum, srs_sum_by_stratum, SrsSample, StratumStats,
 };
-use sa_types::{Confidence, StratumId, Window};
+use sa_types::{Confidence, StratumId, Window, WindowResult};
 use std::collections::BTreeMap;
 
 /// What one pane (one batch interval / one slide interval) produced, per

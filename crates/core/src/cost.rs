@@ -3,21 +3,7 @@
 //! size, with feedback from the intervals that already ran.
 
 use sa_estimate::AdaptiveController;
-use sa_types::{Confidence, QueryBudget, SaError};
-
-/// What the sampler should do for the next time interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SizingDirective {
-    /// Target this sampling fraction (OASRS adapts per-stratum reservoir
-    /// capacities to `fraction × last interval's arrivals`).
-    Fraction(f64),
-    /// Give every stratum a reservoir of exactly this many slots.
-    PerStratum(usize),
-    /// Split this total budget evenly over the strata seen.
-    SharedTotal(usize),
-    /// Process everything (native execution / 100% fraction).
-    Everything,
-}
+use sa_types::{Confidence, QueryBudget, SaError, SizingDirective};
 
 /// Per-interval feedback a policy can react to.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -4,31 +4,37 @@
 //! interval — sample under a budget, estimate with error bounds, assemble
 //! windows — from *where* it runs: a batched dataset engine, a pipelined
 //! operator engine, or a plain consumer loop off a stream aggregator.
-//! [`Engine`] is that separation as a trait: each substrate accepts items
-//! one at a time, surfaces windows as their watermark closes them, and
-//! settles into a [`RunOutput`] at end of stream. Every implementation
-//! embeds the shared runtime parts ([`crate::ApproxRuntime`],
-//! [`crate::IntervalWorker`], [`crate::WindowFinalizer`]) and adds only
-//! its substrate's execution strategy.
+//! [`Engine`] is that separation as a trait: each substrate ingests
+//! event-time-ordered runs of items, surfaces windows as their watermark
+//! closes them, and settles into a [`RunOutput`] at end of stream. Every
+//! implementation embeds the shared runtime parts
+//! ([`crate::ApproxRuntime`], [`crate::IntervalWorker`],
+//! [`crate::WindowFinalizer`]) and adds only its substrate's execution
+//! strategy.
 //!
 //! Applications normally do not touch this trait: they build an
 //! [`crate::ApproxSession`] through the [`crate::StreamApprox`] builder,
 //! which picks the engine and layers input validation on top. Implement
-//! `Engine` to plug a new substrate (a sharded engine, a remote runner)
-//! into the same session API via
-//! [`crate::ApproxSession::from_engine`].
+//! `Engine` to run a substrate this crate does not ship behind the same
+//! session API via [`crate::ApproxSession::from_engine`].
 
-use crate::output::{RunOutput, WindowResult};
-use sa_types::{EngineSnapshot, SaError, ShardIngest, StreamItem, WorkerStatus};
+use crate::output::RunOutput;
+use sa_types::{EngineSnapshot, SaError, ShardIngest, StreamItem, WindowResult};
 
 /// One execution substrate driving the approximation runtime
 /// incrementally.
 ///
 /// # Contract
 ///
-/// * [`push`](Engine::push) receives items in non-decreasing event-time
-///   order ([`crate::ApproxSession`] enforces this before delegating, so
-///   implementations may trust it).
+/// * [`push_chunk`](Engine::push_chunk) is the one ingest method. It
+///   receives a run of items in non-decreasing event-time order, no
+///   earlier than anything pushed before ([`crate::ApproxSession`]
+///   enforces this before delegating, so implementations may trust it).
+///   The run arrives in a caller-owned buffer that the engine *drains*:
+///   it comes back empty with its allocation intact, so callers reuse one
+///   buffer for every call — a per-item push is a one-item run through
+///   that buffer and allocates nothing. Each engine walks pane boundaries
+///   once per run and hands each pane's portion to its samplers whole.
 /// * [`poll_windows`](Engine::poll_windows) returns each completed window
 ///   exactly once, in watermark order, without blocking on future input.
 ///   Threaded engines may surface a window a moment after the items that
@@ -39,36 +45,15 @@ use sa_types::{EngineSnapshot, SaError, ShardIngest, StreamItem, WorkerStatus};
 ///   `poll_windows`, plus ingestion/aggregation counters covering the
 ///   whole run.
 pub trait Engine<R> {
-    /// Ingests one item.
+    /// Ingests a run of items, draining `items`.
     ///
     /// # Errors
     ///
     /// [`SaError::Disconnected`] if the substrate has shut down (e.g. an
     /// operator thread died); implementations must not panic on transport
-    /// failure.
-    fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError>;
-
-    /// Ingests a whole chunk of items (same ordering contract as
-    /// [`push`](Engine::push): the chunk is internally non-decreasing in
-    /// event time and no earlier than anything already pushed).
-    ///
-    /// The default implementation is a per-item [`push`](Engine::push)
-    /// loop; engines with a batch fast path override it to run
-    /// pane-boundary checks once per run and feed whole slices to the
-    /// samplers. Overrides must be observationally identical to the
-    /// default — chunking is a throughput lever, never a semantic one.
-    ///
-    /// # Errors
-    ///
-    /// [`SaError::Disconnected`] under the same conditions as
-    /// [`push`](Engine::push); items before the failure point may have
-    /// been ingested.
-    fn push_chunk(&mut self, items: Vec<StreamItem<R>>) -> Result<(), SaError> {
-        for item in items {
-            self.push(item)?;
-        }
-        Ok(())
-    }
+    /// failure. Items before the failure point may have been ingested, and
+    /// `items` may be left partly drained.
+    fn push_chunk(&mut self, items: &mut Vec<StreamItem<R>>) -> Result<(), SaError>;
 
     /// Takes the windows completed since the last poll.
     fn poll_windows(&mut self) -> Vec<WindowResult>;
@@ -96,14 +81,6 @@ pub trait Engine<R> {
     /// [`settle`](Engine::settle) (or pane close, whichever is later) —
     /// call `settle` first when freshness matters.
     fn shard_ingest(&self) -> Vec<ShardIngest> {
-        Vec::new()
-    }
-
-    /// Per-remote-worker progress for distributed substrates, in worker-id
-    /// order, as of each worker's last digest or heartbeat. Local
-    /// substrates keep the default empty answer; `ApproxSession::status`
-    /// surfaces this through `SessionStatus::workers`.
-    fn worker_status(&self) -> Vec<WorkerStatus> {
         Vec::new()
     }
 
@@ -150,21 +127,14 @@ pub trait Engine<R> {
         0
     }
 
-    /// Informs the engine that a checkpoint of `snapshot_bytes` sealed
-    /// bytes covering up to `pane` was taken, so substrates that report
-    /// progress remotely (the distributed worker) can reset their
-    /// exposure-to-loss counters. Default: ignored.
-    fn note_checkpoint(&mut self, pane: Option<i64>, snapshot_bytes: u64) {
-        let _ = (pane, snapshot_bytes);
-    }
-
-    /// Hands the engine the sealed session-snapshot bytes of the
-    /// checkpoint just taken, so substrates with a remote coordinator
-    /// (the distributed worker) can ship the slice upstream for
-    /// dead-shard handoff. Called after
-    /// [`note_checkpoint`](Engine::note_checkpoint). Default: ignored.
-    fn publish_checkpoint(&mut self, sealed: &[u8]) {
-        let _ = sealed;
+    /// Informs the engine that a checkpoint covering up to `pane` was
+    /// taken and sealed into `sealed`, so substrates with a remote
+    /// coordinator (the distributed worker) can reset their
+    /// exposure-to-loss counters and ship the slice upstream for
+    /// dead-shard handoff. A resumed session calls it with the bytes of
+    /// the snapshot it resumed from. Default: ignored.
+    fn checkpointed(&mut self, pane: Option<i64>, sealed: &[u8]) {
+        let _ = (pane, sealed);
     }
 
     /// Ends the stream: flushes trailing windows and returns the

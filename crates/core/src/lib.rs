@@ -155,17 +155,18 @@ pub use checkpoint::{
 pub use combine::{combine_window, PanePayload};
 pub use cost::{
     confidence_for_budget, policy_for_budget, AccuracyPolicy, CostPolicy, FixedFraction,
-    FixedPerStratum, IntervalFeedback, LatencyPolicy, PolicyHandle, SizingDirective, TokenPolicy,
+    FixedPerStratum, IntervalFeedback, LatencyPolicy, PolicyHandle, TokenPolicy,
 };
 pub use engine::Engine;
 pub use net::{connect_worker, rejoin_worker, DigestEngine, DistributedConfig, DistributedSession};
-pub use output::{RunOutput, WindowResult};
+pub use output::RunOutput;
 pub use pipelined::{run_pipelined, PipelinedConfig, PipelinedSystem};
 pub use query::Query;
 pub use runtime::{
     pane_merge_seed, sampler_sizing, ApproxRuntime, ExactAccumulator, IntervalWorker, ShardSet,
     WindowFinalizer, WorkerPane,
 };
+pub use sa_types::{SizingDirective, WindowResult};
 pub use session::{ApproxSession, StreamApprox};
 pub use sharded::ShardedConfig;
 pub use stratify::{restratify, QuantileStratifier};

@@ -69,7 +69,7 @@
 //!   degrades, it does not hang.
 //! * **Rejoin and handoff.** Workers publish their sealed session
 //!   snapshots to the coordinator at every checkpoint
-//!   ([`Engine::publish_checkpoint`] →
+//!   ([`Engine::checkpointed`] →
 //!   [`sa_net::Message::SnapshotSlice`]). A replacement process calls
 //!   [`rejoin_worker`]: the coordinator hands it the first dead shard
 //!   (generation-tagged, so frames from the dead predecessor are
@@ -96,9 +96,8 @@
 
 use crate::checkpoint::{open_session_snapshot, RecordCodec};
 use crate::combine::PanePayload;
-use crate::cost::SizingDirective;
 use crate::engine::Engine;
-use crate::output::{RunOutput, WindowResult};
+use crate::output::RunOutput;
 use crate::runtime::{
     pane_merge_seed, sampler_sizing, IntervalWorker, PaneCursor, ShardSet, WindowFinalizer,
     WorkerPane,
@@ -107,12 +106,12 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sa_estimate::widen_for_shortfall;
 use sa_net::frame::{read_message, write_message};
-use sa_net::{Digest, DigestPayload, Directive, Message, WindowResultMsg};
+use sa_net::{Digest, DigestPayload, Message};
 use sa_types::wire::{WireDecode, WireEncode, WireReader};
 use sa_types::{
     Confidence, EngineSnapshot, EventTime, FaultPolicy, IngestCounters, RunSeed, SaError,
-    SessionSnapshot, SessionStatus, StratifiedSample, StratumSample, StreamItem, Window,
-    WindowSpec, WorkerHealth, WorkerStatus,
+    SessionSnapshot, SessionStatus, SizingDirective, StratifiedSample, StratumSample, StreamItem,
+    Window, WindowResult, WindowSpec, WorkerHealth, WorkerStatus,
 };
 use std::collections::BTreeMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -213,48 +212,6 @@ impl DistributedConfig {
     }
 }
 
-fn directive_to_wire(directive: SizingDirective) -> Directive {
-    match directive {
-        SizingDirective::Fraction(f) => Directive::Fraction(f),
-        SizingDirective::PerStratum(n) => Directive::PerStratum(n),
-        SizingDirective::SharedTotal(n) => Directive::SharedTotal(n),
-        SizingDirective::Everything => Directive::Everything,
-    }
-}
-
-fn directive_from_wire(directive: Directive) -> SizingDirective {
-    match directive {
-        Directive::Fraction(f) => SizingDirective::Fraction(f),
-        Directive::PerStratum(n) => SizingDirective::PerStratum(n),
-        Directive::SharedTotal(n) => SizingDirective::SharedTotal(n),
-        Directive::Everything => SizingDirective::Everything,
-    }
-}
-
-fn result_to_wire(result: &WindowResult) -> WindowResultMsg {
-    WindowResultMsg {
-        window: result.window,
-        sum: result.sum,
-        mean: result.mean,
-        sum_by_stratum: result.sum_by_stratum.clone(),
-        mean_by_stratum: result.mean_by_stratum.clone(),
-        degraded: result.degraded,
-        lost_items: result.lost_items,
-    }
-}
-
-fn result_from_wire(msg: WindowResultMsg) -> WindowResult {
-    WindowResult {
-        window: msg.window,
-        sum: msg.sum,
-        mean: msg.mean,
-        sum_by_stratum: msg.sum_by_stratum,
-        mean_by_stratum: msg.mean_by_stratum,
-        degraded: msg.degraded,
-        lost_items: msg.lost_items,
-    }
-}
-
 /// Total item population a digest accounts for, across all its strata —
 /// the per-shard mass the lost-contribution estimate extrapolates from.
 fn digest_population(digest: &Digest) -> u64 {
@@ -270,7 +227,7 @@ fn digest_population(digest: &Digest) -> u64 {
 struct AssignTemplate {
     num_workers: u32,
     seed: RunSeed,
-    directive: Directive,
+    directive: SizingDirective,
     pane_interval_ms: i64,
     expected_pane_items: u64,
     window: WindowSpec,
@@ -747,7 +704,7 @@ impl DistributedSession {
         let assign = AssignTemplate {
             num_workers: config.workers,
             seed: config.seed,
-            directive: directive_to_wire(directive),
+            directive,
             pane_interval_ms: interval_ms,
             expected_pane_items: config.expected_pane_items as u64,
             window,
@@ -1166,9 +1123,9 @@ impl DistributedSession {
         self.completed += done.len() as u64;
         for peer in self.workers.values_mut() {
             if let Some(stream) = &mut peer.results {
-                let delivered = done.iter().all(|w| {
-                    write_message(stream, &Message::WindowResult(result_to_wire(w))).is_ok()
-                });
+                let delivered = done
+                    .iter()
+                    .all(|w| write_message(stream, &Message::WindowResult(w.clone())).is_ok());
                 if !delivered {
                     // A subscriber that went away only loses its copy; the
                     // run's results live on the coordinator.
@@ -1460,8 +1417,8 @@ pub struct DigestEngine<R> {
     panes: u64,
     started: Instant,
     /// Checkpoint exposure the session reports through
-    /// [`Engine::note_checkpoint`], mirrored onto every digest and
-    /// heartbeat so the coordinator's [`WorkerStatus`] shows it.
+    /// [`Engine::checkpointed`], stamped onto every digest and heartbeat
+    /// so the coordinator's [`WorkerStatus`] shows it.
     last_checkpoint_pane: Option<i64>,
     items_at_checkpoint: u64,
     snapshot_bytes: u64,
@@ -1472,7 +1429,7 @@ struct Assignment {
     worker: u32,
     num_workers: u32,
     seed: RunSeed,
-    directive: Directive,
+    directive: SizingDirective,
     pane_interval_ms: i64,
     expected_pane_items: u64,
     window: WindowSpec,
@@ -1525,7 +1482,7 @@ fn assemble_engine<R>(
     // the coordinator's merge sees the same per-shard state a
     // single-process sharded run would.
     let sizing = sampler_sizing(
-        directive_from_wire(assignment.directive),
+        assignment.directive,
         assignment.expected_pane_items as usize,
         assignment.num_workers as usize,
     );
@@ -1711,24 +1668,6 @@ impl<R> DigestEngine<R> {
         Arc::clone(&self.shared.lag)
     }
 
-    /// Sends one liveness heartbeat immediately.
-    ///
-    /// Heartbeats are automatic since the coordinator started assigning
-    /// a cadence: a background thread sends one every assigned interval
-    /// for as long as the engine lives, so there is nothing to call —
-    /// though the coordinator tolerates extra heartbeats in any phase of
-    /// the run.
-    ///
-    /// # Errors
-    ///
-    /// [`SaError::Wire`] when the coordinator connection is gone.
-    #[deprecated(note = "heartbeats are sent automatically by a background thread; \
-                         this manual nudge is only useful with a coordinator that \
-                         assigned no cadence")]
-    pub fn heartbeat(&mut self) -> Result<(), SaError> {
-        self.shared.send(&self.shared.heartbeat_message())
-    }
-
     fn close_pane(&mut self) -> Result<(), SaError> {
         let (start, end) = self.cursor.pane().expect("close follows an open pane");
         let payload = match self.sampler.close_interval_parts() {
@@ -1768,21 +1707,26 @@ impl<R> DigestEngine<R> {
 }
 
 impl<R> Engine<R> for DigestEngine<R> {
-    fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
+    fn push_chunk(&mut self, items: &mut Vec<StreamItem<R>>) -> Result<(), SaError> {
         if !self.shared.alive.load(Ordering::Acquire) {
             return Err(SaError::Disconnected("digest worker lost its coordinator"));
         }
-        let t = item.time.as_millis();
-        while self.cursor.needs_close(t) {
-            self.close_pane()?;
-            self.cursor.next(t);
+        while let Some(head) = items.first() {
+            let t = head.time.as_millis();
+            while self.cursor.needs_close(t) {
+                self.close_pane()?;
+                self.cursor.next(t);
+            }
+            let n = self.cursor.in_pane(items);
+            self.watermark = Some(items[n - 1].time);
+            self.shared
+                .watermark
+                .store(items[n - 1].time.as_millis(), Ordering::Relaxed);
+            self.sampler.observe_drain(items.drain(..n));
+            self.shared
+                .ingested
+                .store(self.sampler.counters().0, Ordering::Relaxed);
         }
-        self.watermark = Some(item.time);
-        self.shared.watermark.store(t, Ordering::Relaxed);
-        self.sampler.observe(item.stratum, item.value);
-        self.shared
-            .ingested
-            .store(self.sampler.counters().0, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1794,11 +1738,11 @@ impl<R> Engine<R> for DigestEngine<R> {
         self.panes
     }
 
-    fn note_checkpoint(&mut self, pane: Option<i64>, snapshot_bytes: u64) {
+    fn checkpointed(&mut self, pane: Option<i64>, sealed: &[u8]) {
         let (ingested, _) = self.sampler.counters();
         self.last_checkpoint_pane = pane;
         self.items_at_checkpoint = ingested;
-        self.snapshot_bytes = snapshot_bytes;
+        self.snapshot_bytes = sealed.len() as u64;
         self.shared
             .last_checkpoint_pane
             .store(pane.unwrap_or(NO_TIME), Ordering::Relaxed);
@@ -1807,10 +1751,7 @@ impl<R> Engine<R> for DigestEngine<R> {
             .store(ingested, Ordering::Relaxed);
         self.shared
             .snapshot_bytes
-            .store(snapshot_bytes, Ordering::Relaxed);
-    }
-
-    fn publish_checkpoint(&mut self, sealed: &[u8]) {
+            .store(self.snapshot_bytes, Ordering::Relaxed);
         if !self.shared.alive.load(Ordering::Acquire) {
             return;
         }
@@ -1819,7 +1760,7 @@ impl<R> Engine<R> for DigestEngine<R> {
         // checkpoint itself already succeeded locally.
         let _ = self.shared.send(&Message::SnapshotSlice {
             worker: self.worker,
-            pane: self.last_checkpoint_pane,
+            pane,
             sealed: sealed.to_vec(),
         });
     }
@@ -1887,7 +1828,7 @@ impl<R> Engine<R> for DigestEngine<R> {
                 let _ = this.reader.set_read_timeout(Some(Duration::from_secs(30)));
                 while let Ok(Some(msg)) = read_message(&mut this.reader) {
                     if let Message::WindowResult(result) = msg {
-                        windows.push(result_from_wire(result));
+                        windows.push(result);
                     }
                 }
             }
@@ -1968,18 +1909,6 @@ mod tests {
         // Port 1 on loopback is essentially never listening.
         let err = connect_worker("127.0.0.1:1", 0, false, |v: &f64| *v).unwrap_err();
         assert!(matches!(err, SaError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn directive_conversion_roundtrips() {
-        for d in [
-            SizingDirective::Fraction(0.25),
-            SizingDirective::PerStratum(7),
-            SizingDirective::SharedTotal(64),
-            SizingDirective::Everything,
-        ] {
-            assert_eq!(directive_from_wire(directive_to_wire(d)), d);
-        }
     }
 
     #[test]
@@ -2065,13 +1994,22 @@ mod tests {
             .expect("bind loopback");
         let addr = coordinator.addr();
         let handle = thread::spawn(move || {
-            let mut engine = connect_worker(addr, 0, false, |v: &f64| *v).expect("join");
-            // Before the first item, mid-pane, and right before shutdown:
-            // all legal.
-            #[allow(deprecated)]
-            engine.heartbeat().expect("pre-ingest heartbeat");
+            let engine = connect_worker(addr, 0, false, |v: &f64| *v).expect("join");
+            // Extra heartbeats on the worker's own framed connection, on
+            // top of the automatic ones: before the first item, mid-pane,
+            // and right before shutdown are all legal.
+            let shared = Arc::clone(&engine.shared);
+            let beat = || {
+                shared
+                    .send(&shared.heartbeat_message())
+                    .expect("heartbeat sent");
+            };
+            beat();
             let mut session = crate::session::ApproxSession::from_engine(Box::new(engine));
             for i in 0..1_200i64 {
+                if i == 600 {
+                    beat();
+                }
                 session
                     .push(StreamItem::new(
                         StratumId(0),
@@ -2080,6 +2018,7 @@ mod tests {
                     ))
                     .expect("in order");
             }
+            beat();
             session.finish()
         });
         let _ = handle.join().expect("worker thread");

@@ -18,13 +18,13 @@
 use crate::combine::PanePayload;
 use crate::cost::CostPolicy;
 use crate::engine::Engine;
-use crate::output::{RunOutput, WindowResult};
+use crate::output::RunOutput;
 use crate::query::Query;
 use crate::runtime::{sampler_sizing, IntervalWorker, WindowFinalizer};
 use crate::session::StreamApprox;
 use sa_estimate::StratumStats;
 use sa_pipelined::{Exchange, Flow, FlowHandle, Operator, PushSource};
-use sa_types::{EventTime, RunSeed, SaError, StratumId, StreamItem, Window};
+use sa_types::{EventTime, RunSeed, SaError, StratumId, StreamItem, Window, WindowResult};
 use std::time::Instant;
 
 /// Which pipelined system to run.
@@ -306,7 +306,7 @@ where
 /// The pipelined substrate as an incremental [`Engine`]: the full operator
 /// topology — push source, parallel sampling/stats stage, window estimator
 /// — runs on its own threads from the moment the engine is built, and
-/// `push` feeds it live through the source with backpressure. Windows
+/// `push_chunk` feeds it live through the source with backpressure. Windows
 /// surface through the sink as watermarks close them, a beat after the
 /// items that completed them (the stages are concurrent); `finish` ends
 /// the stream, drains the sink, and joins the topology.
@@ -397,8 +397,13 @@ impl<R> Engine<R> for PipelinedEngine<R>
 where
     R: Send + Sync + 'static,
 {
-    fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
-        self.source.push(item)
+    fn push_chunk(&mut self, items: &mut Vec<StreamItem<R>>) -> Result<(), SaError> {
+        // Panes are cut by the operators downstream; the source takes
+        // items one at a time, with backpressure per item.
+        for item in items.drain(..) {
+            self.source.push(item)?;
+        }
+        Ok(())
     }
 
     fn poll_windows(&mut self) -> Vec<WindowResult> {

@@ -30,21 +30,18 @@
 //! engine-specific: micro-batch dataset formation and cluster shuffles in
 //! `batched`, operator pipelines and exchanges in `pipelined`.
 
-use crate::checkpoint::{
-    decode_directive, decode_pane_payload, decode_window_result, encode_directive,
-    encode_pane_payload, encode_window_result, RecordCodec,
-};
+use crate::checkpoint::{decode_pane_payload, encode_pane_payload, RecordCodec};
 use crate::combine::{combine_window, PanePayload};
-use crate::cost::{CostPolicy, IntervalFeedback, PolicyHandle, SizingDirective};
-use crate::output::{RunOutput, WindowResult};
+use crate::cost::{CostPolicy, IntervalFeedback, PolicyHandle};
+use crate::output::RunOutput;
 use crate::query::Query;
 use crate::windowing::PaneWindower;
 use rand::Rng;
 use sa_estimate::{estimate_mean, StratumStats, Welford};
 use sa_sampling::{merge_all_stratified, OasrsSampler, SizingPolicy};
 use sa_types::{
-    wire::put_varint, Confidence, EventTime, RunSeed, SaError, StratifiedSample, StratumId,
-    StreamItem, Window, WindowSpec, WireDecode, WireEncode, WireReader,
+    wire::put_varint, Confidence, EventTime, RunSeed, SaError, SizingDirective, StratifiedSample,
+    StratumId, StreamItem, Window, WindowResult, WindowSpec, WireDecode, WireEncode, WireReader,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -285,13 +282,16 @@ impl<R> IntervalWorker<R> {
     /// intact, so data-parallel callers can recycle the buffer instead of
     /// allocating per chunk.
     pub fn observe_chunk(&mut self, items: &mut Vec<StreamItem<R>>) {
+        self.observe_drain(items.drain(..));
+    }
+
+    /// [`observe_chunk`](IntervalWorker::observe_chunk) over a drained
+    /// range of a buffer: the part of a run that falls in the open pane.
+    pub fn observe_drain(&mut self, items: std::vec::Drain<'_, StreamItem<R>>) {
         self.ingested += items.len() as u64;
         match &mut self.kind {
-            WorkerKind::Sampling(sampler) => sampler.observe_batch(items),
-            WorkerKind::Exact(acc) => {
-                acc.observe_slice(items);
-                items.clear();
-            }
+            WorkerKind::Sampling(sampler) => sampler.observe_drain(items),
+            WorkerKind::Exact(acc) => acc.observe_slice(items.as_slice()),
         }
     }
 
@@ -597,6 +597,13 @@ impl PaneCursor {
         self.start = start;
     }
 
+    /// How many leading items of a run (non-decreasing in event time)
+    /// fall in the open pane.
+    pub(crate) fn in_pane<R>(&self, items: &[StreamItem<R>]) -> usize {
+        let (_, end) = self.pane().expect("a pane is open after needs_close");
+        items.partition_point(|it| it.time.as_millis() < end)
+    }
+
     /// Moves to the pane after a close: the adjacent interval, or — when
     /// the item at `t` is beyond the skip horizon — the item's own pane.
     pub(crate) fn next(&mut self, t: i64) {
@@ -704,10 +711,7 @@ impl WindowFinalizer {
                 encode_pane_payload(p, out);
             }
         }
-        put_varint(out, self.completed.len() as u64);
-        for w in &self.completed {
-            encode_window_result(w, out);
-        }
+        self.completed.encode(out);
         put_varint(out, self.degraded_panes.len() as u64);
         for (&start, &lost) in &self.degraded_panes {
             start.encode(out);
@@ -735,12 +739,7 @@ impl WindowFinalizer {
             }
         }
         self.windower.restore_state(panes, watermark);
-        let count = r.read_len()?;
-        let mut completed = Vec::with_capacity(count);
-        for _ in 0..count {
-            completed.push(decode_window_result(r)?);
-        }
-        self.completed = completed;
+        self.completed = Vec::decode(r)?;
         let count = r.read_len()?;
         let mut degraded = BTreeMap::new();
         for _ in 0..count {
@@ -926,7 +925,7 @@ impl<'p, R> ApproxRuntime<'p, R> {
             None => 0u8.encode(out),
             Some(pool) => {
                 1u8.encode(out);
-                encode_directive(&pool.directive, out);
+                pool.directive.encode(out);
                 put_varint(out, pool.samplers.len() as u64);
                 for s in &pool.samplers {
                     s.encode_state_with(out, &mut |v, out| (codec.encode)(v, out));
@@ -951,7 +950,7 @@ impl<'p, R> ApproxRuntime<'p, R> {
         self.pool = match u8::decode(r)? {
             0 => None,
             1 => {
-                let directive = decode_directive(r)?;
+                let directive = SizingDirective::decode(r)?;
                 let n = r.read_len()?;
                 let mut samplers = Vec::with_capacity(n);
                 for _ in 0..n {

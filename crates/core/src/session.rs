@@ -12,19 +12,19 @@
 //! [`start`]: StreamApprox::start
 
 use crate::aggregated::{AggregatedConfig, AggregatedEngine};
-use crate::batched::{BatchedConfig, BatchedEngine, BatchedSystem};
+use crate::batched::{BatchedConfig, BatchedEngine};
 use crate::checkpoint::{seal_session_snapshot, CheckpointStore, RecordCodec};
 use crate::cost::{confidence_for_budget, policy_for_budget, CostPolicy, PolicyHandle};
 use crate::engine::Engine;
 use crate::net::{DistributedConfig, DistributedSession};
-use crate::output::{RunOutput, WindowResult};
-use crate::pipelined::{PipelinedConfig, PipelinedEngine, PipelinedSystem};
+use crate::output::RunOutput;
+use crate::pipelined::{PipelinedConfig, PipelinedEngine};
 use crate::query::Query;
 use crate::sharded::{ShardedConfig, ShardedEngine};
 use sa_aggregator::Consumer;
 use sa_types::{
     CheckpointPolicy, EventTime, IngestCounters, QueryBudget, SaError, SessionSnapshot,
-    SessionStatus, StreamItem, WireDecode, WireEncode,
+    SessionStatus, StreamItem, WindowResult, WireDecode, WireEncode,
 };
 
 /// Deferred engine construction: each builder method captures its config
@@ -168,19 +168,6 @@ impl<'p, R: 'p> StreamApprox<'p, R> {
         self
     }
 
-    /// Runs the session on the batched engine with an explicit system.
-    #[deprecated(
-        since = "0.1.0",
-        note = "fold the system into the config: `batched(config.with_system(system))`"
-    )]
-    #[must_use]
-    pub fn batched_with_system(self, config: BatchedConfig, system: BatchedSystem) -> Self
-    where
-        R: Send + Sync + Clone + 'static,
-    {
-        self.batched(config.with_system(system))
-    }
-
     /// Runs the session on the pipelined (Flink-style) engine. The system
     /// to run is part of [`PipelinedConfig`]; see
     /// [`PipelinedConfig::with_system`].
@@ -206,19 +193,6 @@ impl<'p, R: 'p> StreamApprox<'p, R> {
             }),
         };
         self
-    }
-
-    /// Runs the session on the pipelined engine with an explicit system.
-    #[deprecated(
-        since = "0.1.0",
-        note = "fold the system into the config: `pipelined(config.with_system(system))`"
-    )]
-    #[must_use]
-    pub fn pipelined_with_system(self, config: PipelinedConfig, system: PipelinedSystem) -> Self
-    where
-        R: Send + Sync + 'static,
-    {
-        self.pipelined(config.with_system(system))
     }
 
     /// Runs the session on the sharded data-parallel engine: items are
@@ -360,12 +334,15 @@ pub struct ApproxSession<'p, R> {
     /// Set on resume: the next `ingest_consumer` must seek `replay`
     /// before polling.
     needs_seek: bool,
+    /// The run handed to [`Engine::push_chunk`]: drained by the engine and
+    /// reused by every push, so a per-item push allocates nothing.
+    buf: Vec<StreamItem<R>>,
 }
 
 impl<'p, R> ApproxSession<'p, R> {
     /// Wraps a custom engine in the session API — the extension point for
-    /// substrates this crate does not ship (sharded engines, remote
-    /// runners).
+    /// substrates the builder does not construct (the distributed worker's
+    /// [`crate::DigestEngine`], remote runners).
     pub fn from_engine(engine: Box<dyn Engine<R> + 'p>) -> Self {
         ApproxSession {
             engine,
@@ -379,6 +356,7 @@ impl<'p, R> ApproxSession<'p, R> {
             snapshot_bytes: 0,
             replay: Vec::new(),
             needs_seek: false,
+            buf: Vec::new(),
         }
     }
 
@@ -403,7 +381,7 @@ impl<'p, R> ApproxSession<'p, R> {
     ) -> Result<Self, SaError> {
         engine.restore(&snapshot.engine)?;
         let sealed = seal_session_snapshot(snapshot)?;
-        engine.note_checkpoint(snapshot.engine.pane, sealed.len() as u64);
+        engine.checkpointed(snapshot.engine.pane, &sealed);
         let panes_at_checkpoint = engine.panes_closed();
         Ok(ApproxSession {
             engine,
@@ -417,6 +395,7 @@ impl<'p, R> ApproxSession<'p, R> {
             snapshot_bytes: sealed.len() as u64,
             replay: snapshot.replay.clone(),
             needs_seek: !snapshot.replay.is_empty(),
+            buf: Vec::new(),
         })
     }
 
@@ -438,12 +417,8 @@ impl<'p, R> ApproxSession<'p, R> {
                 });
             }
         }
-        let time = item.time;
-        self.engine.push(item)?;
-        self.watermark = Some(time);
-        self.ingest.ingested += 1;
-        self.items_since_checkpoint += 1;
-        Ok(())
+        self.buf.push(item);
+        self.forward().map(|_| ())
     }
 
     /// Ingests a batch of items through the engines' batch fast path,
@@ -453,9 +428,9 @@ impl<'p, R> ApproxSession<'p, R> {
     /// counted**, not an error — the same drop-late-and-continue
     /// accounting as [`ingest_consumer`](ApproxSession::ingest_consumer),
     /// so one straggler no longer aborts the rest of the batch. The kept
-    /// subsequence is validated as one monotone run and forwarded to
-    /// [`Engine::push_chunk`] whole, so watermark checks and pane-cursor
-    /// work run per run instead of per item.
+    /// subsequence is gathered into the session's reusable buffer as one
+    /// monotone run and forwarded to [`Engine::push_chunk`] whole, so
+    /// pane-cursor work runs per run instead of per item.
     ///
     /// # Errors
     ///
@@ -466,13 +441,13 @@ impl<'p, R> ApproxSession<'p, R> {
         &mut self,
         items: impl IntoIterator<Item = StreamItem<R>>,
     ) -> Result<IngestCounters, SaError> {
-        let mut items: Vec<StreamItem<R>> = items.into_iter().collect();
         let mut delta = IngestCounters::default();
         // Keep the running-max subsequence — exactly the items a per-item
         // push loop would have accepted, since the watermark advances only
         // on accepted items.
         let mut watermark = self.watermark;
-        items.retain(|item| {
+        self.buf.extend(items);
+        self.buf.retain(|item| {
             let keep = watermark.map_or(true, |w| item.time >= w);
             if keep {
                 watermark = Some(item.time);
@@ -482,16 +457,24 @@ impl<'p, R> ApproxSession<'p, R> {
             keep
         });
         self.ingest.dropped_late += delta.dropped_late;
-        if items.is_empty() {
-            return Ok(delta);
-        }
-        delta.ingested = items.len() as u64;
-        let last = items.last().expect("non-empty batch").time;
-        self.engine.push_chunk(items)?;
-        self.watermark = Some(last);
-        self.ingest.ingested += delta.ingested;
-        self.items_since_checkpoint += delta.ingested;
+        delta.ingested = self.forward()?;
         Ok(delta)
+    }
+
+    /// Hands the buffered run to the engine and counts it as accepted,
+    /// returning its length. The buffer comes back empty either way.
+    fn forward(&mut self) -> Result<u64, SaError> {
+        let Some(last) = self.buf.last().map(|item| item.time) else {
+            return Ok(0);
+        };
+        let n = self.buf.len() as u64;
+        let pushed = self.engine.push_chunk(&mut self.buf);
+        self.buf.clear();
+        pushed?;
+        self.watermark = Some(last);
+        self.ingest.ingested += n;
+        self.items_since_checkpoint += n;
+        Ok(n)
     }
 
     /// Polls an aggregator consumer once and ingests what it returns —
@@ -583,7 +566,7 @@ impl<'p, R> ApproxSession<'p, R> {
             watermark: self.watermark,
             ingest: self.ingest,
             shards: self.engine.shard_ingest(),
-            workers: self.engine.worker_status(),
+            workers: Vec::new(),
             last_checkpoint_pane: self.last_checkpoint_pane,
             items_since_checkpoint: self.items_since_checkpoint,
             snapshot_bytes: self.snapshot_bytes,
@@ -625,6 +608,29 @@ impl<'p, R> ApproxSession<'p, R> {
     /// not support snapshots); [`SaError::Disconnected`] if the engine has
     /// shut down.
     pub fn checkpoint(&mut self) -> Result<SessionSnapshot, SaError> {
+        self.seal_checkpoint().map(|(snapshot, _)| snapshot)
+    }
+
+    /// Takes a checkpoint and persists its sealed frame to `store`,
+    /// returning the sealed size in bytes. Load it back with
+    /// [`CheckpointStore::load`] +
+    /// [`crate::open_session_snapshot`] + [`StreamApprox::resume`].
+    ///
+    /// # Errors
+    ///
+    /// Everything [`checkpoint`](ApproxSession::checkpoint) can return,
+    /// plus the store's I/O errors.
+    pub fn checkpoint_to(&mut self, store: &mut dyn CheckpointStore) -> Result<u64, SaError> {
+        let (_, sealed) = self.seal_checkpoint()?;
+        store.save(&sealed)?;
+        Ok(sealed.len() as u64)
+    }
+
+    /// Takes a checkpoint and seals it once: the sealed bytes size the
+    /// status counters, go to the engine's
+    /// [`checkpointed`](Engine::checkpointed) hook, and are what
+    /// [`checkpoint_to`](ApproxSession::checkpoint_to) persists.
+    fn seal_checkpoint(&mut self) -> Result<(SessionSnapshot, Vec<u8>), SaError> {
         self.engine.settle()?;
         let engine_snapshot = self.engine.snapshot()?;
         let snapshot = SessionSnapshot {
@@ -640,28 +646,10 @@ impl<'p, R> ApproxSession<'p, R> {
         self.last_checkpoint_pane = snapshot.engine.pane;
         self.panes_at_checkpoint = self.engine.panes_closed();
         self.items_since_checkpoint = 0;
-        self.engine
-            .note_checkpoint(snapshot.engine.pane, self.snapshot_bytes);
         // Substrates with a remote coordinator ship the sealed slice
         // upstream so a replacement worker can adopt this shard's state.
-        self.engine.publish_checkpoint(&sealed);
-        Ok(snapshot)
-    }
-
-    /// Takes a checkpoint and persists its sealed frame to `store`,
-    /// returning the sealed size in bytes. Load it back with
-    /// [`CheckpointStore::load`] +
-    /// [`crate::open_session_snapshot`] + [`StreamApprox::resume`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`checkpoint`](ApproxSession::checkpoint) can return,
-    /// plus the store's I/O errors.
-    pub fn checkpoint_to(&mut self, store: &mut dyn CheckpointStore) -> Result<u64, SaError> {
-        let snapshot = self.checkpoint()?;
-        let sealed = seal_session_snapshot(&snapshot)?;
-        store.save(&sealed)?;
-        Ok(sealed.len() as u64)
+        self.engine.checkpointed(snapshot.engine.pane, &sealed);
+        Ok((snapshot, sealed))
     }
 
     /// Ends the stream: flushes every still-open window and returns the
@@ -794,37 +782,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_system_shims_match_the_config_route() {
-        use crate::batched::BatchedSystem;
-        use sa_batched::Cluster;
-        let items: Vec<StreamItem<f64>> = (0..2_000)
-            .map(|ms| item(ms, f64::from(ms as u32 % 7)))
-            .collect();
-        let mut policy = FixedFraction(0.5);
-        let mut shim = StreamApprox::new(query(), &mut policy)
-            .batched_with_system(
-                BatchedConfig::new(Cluster::new(2)),
-                BatchedSystem::StreamApprox,
-            )
-            .start();
-        shim.push_batch(items.clone()).expect("in order");
-        let shim_out = shim.finish();
-        let mut policy = FixedFraction(0.5);
-        let mut direct = StreamApprox::new(query(), &mut policy)
-            .batched(BatchedConfig::new(Cluster::new(2)).with_system(BatchedSystem::StreamApprox))
-            .start();
-        direct.push_batch(items).expect("in order");
-        let direct_out = direct.finish();
-        assert_eq!(shim_out.windows, direct_out.windows);
-    }
-
-    #[test]
     fn invalid_engine_is_a_session_not_a_panic() {
         // from_engine accepts any Engine implementation.
         struct Null;
         impl Engine<f64> for Null {
-            fn push(&mut self, _: StreamItem<f64>) -> Result<(), SaError> {
+            fn push_chunk(&mut self, _: &mut Vec<StreamItem<f64>>) -> Result<(), SaError> {
                 Err(SaError::Disconnected("null engine"))
             }
             fn poll_windows(&mut self) -> Vec<WindowResult> {

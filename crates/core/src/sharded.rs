@@ -24,9 +24,10 @@
 //!   chunks are freshly allocated); the `chunks_routed`/`chunks_recycled`
 //!   counters on [`ShardIngest`] make this observable.
 //! * **Backpressure** — the command ring is bounded, so a shard that
-//!   falls behind fills its ring and the router's `push` blocks (spinning
-//!   and yielding, while still draining returns) instead of queueing
-//!   unboundedly: a lagging shard costs latency, never unbounded memory.
+//!   falls behind fills its ring and the router's `push_chunk` blocks
+//!   (spinning and yielding, while still draining returns) instead of
+//!   queueing unboundedly: a lagging shard costs latency, never unbounded
+//!   memory.
 //! * **Merge/ingest overlap** — at a pane boundary the engine broadcasts
 //!   the close and *returns immediately*: shards answer the close and
 //!   begin the next pane's chunks (already queued behind the close in
@@ -57,11 +58,11 @@
 //! holds that oracle); with many shards the answers agree statistically,
 //! within the estimators' confidence bounds.
 
-use crate::checkpoint::{decode_directive, encode_directive, RecordCodec};
+use crate::checkpoint::RecordCodec;
 use crate::combine::PanePayload;
 use crate::cost::PolicyHandle;
 use crate::engine::Engine;
-use crate::output::{RunOutput, WindowResult};
+use crate::output::RunOutput;
 use crate::query::Query;
 use crate::runtime::{ApproxRuntime, IntervalWorker, PaneCursor, ShardSet, WorkerPane};
 use crossbeam::spsc;
@@ -69,8 +70,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sa_types::wire::put_varint;
 use sa_types::{
-    EngineSnapshot, EventTime, RunSeed, SaError, ShardIngest, StreamItem, Window, WireDecode,
-    WireEncode, WireReader,
+    EngineSnapshot, EventTime, RunSeed, SaError, ShardIngest, SizingDirective, StreamItem, Window,
+    WindowResult, WireDecode, WireEncode, WireReader,
 };
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -632,56 +633,31 @@ impl<R> Engine<R> for ShardedEngine<'_, R>
 where
     R: Send + Sync + 'static,
 {
-    fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
-        if !self.alive {
-            return Err(SaError::Disconnected("sharded worker thread died"));
-        }
-        // The shared cursor aligns the first pane to the first item's
-        // interval, yields quiet intervals as empty panes (each consulting
-        // the policy, mirroring the batched engine), and jumps oversized
-        // gaps.
-        let t = item.time.as_millis();
-        while self.cursor.needs_close(t) {
-            self.ensure_armed()?;
-            self.begin_close()?;
-            self.cursor.next(t);
-        }
-        self.ensure_armed()?;
-        let shard = self.shard_set.route(item.stratum, self.seq);
-        self.seq += 1;
-        self.pane_arrived += 1;
-        self.buffers[shard].push(item);
-        if self.buffers[shard].len() >= self.config.chunk_items {
-            self.flush(shard)?;
-        }
-        Ok(())
-    }
-
-    fn push_chunk(&mut self, mut items: Vec<StreamItem<R>>) -> Result<(), SaError> {
+    fn push_chunk(&mut self, items: &mut Vec<StreamItem<R>>) -> Result<(), SaError> {
         if !self.alive {
             return Err(SaError::Disconnected("sharded worker thread died"));
         }
         // Merge mid-ingest when the previous pane's answers are already
-        // in — one cheap ring sweep per chunk call, not per item.
+        // in — one cheap ring sweep per run, not per item.
         self.try_resolve()?;
-        // The batch fast path: pane-cursor and arm checks run once per
-        // pane portion, then the portion is routed item-by-item (routing
-        // is per-item by contract — `route(stratum, seq)` — but costs no
-        // RNG or locks) into the shard buffers. Identical routing/flush
-        // sequence to the per-item loop.
-        while !items.is_empty() {
-            let t = items[0].time.as_millis();
+        // The shared cursor aligns the first pane to the first item's
+        // interval, yields quiet intervals as empty panes (each consulting
+        // the policy, mirroring the batched engine), and jumps oversized
+        // gaps. Cursor and arm checks run once per pane portion; the
+        // portion is then routed item by item (routing is per-item by
+        // contract — `route(stratum, seq)` — but costs no RNG or locks)
+        // into the shard buffers.
+        while let Some(head) = items.first() {
+            let t = head.time.as_millis();
             while self.cursor.needs_close(t) {
                 self.ensure_armed()?;
                 self.begin_close()?;
                 self.cursor.next(t);
             }
             self.ensure_armed()?;
-            let (_, end) = self.cursor.pane().expect("pane open after needs_close");
-            let n = items.partition_point(|it| it.time.as_millis() < end);
-            let rest = items.split_off(n);
-            self.pane_arrived += items.len() as u64;
-            for item in items {
+            let n = self.cursor.in_pane(items);
+            self.pane_arrived += n as u64;
+            for item in items.drain(..n) {
                 let shard = self.shard_set.route(item.stratum, self.seq);
                 self.seq += 1;
                 self.buffers[shard].push(item);
@@ -689,7 +665,6 @@ where
                     self.flush(shard)?;
                 }
             }
-            items = rest;
         }
         Ok(())
     }
@@ -766,13 +741,7 @@ where
         self.pane_open.encode(&mut state);
         self.counters.encode(&mut state);
         self.counter_base.encode(&mut state);
-        match self.shard_set.directive() {
-            None => 0u8.encode(&mut state),
-            Some(directive) => {
-                1u8.encode(&mut state);
-                encode_directive(&directive, &mut state);
-            }
-        }
+        self.shard_set.directive().encode(&mut state);
         for blob in &slots {
             state.extend_from_slice(blob.as_deref().expect("every slot collected"));
         }
@@ -812,11 +781,7 @@ where
                 self.counters.len()
             )));
         }
-        let directive = match u8::decode(&mut r)? {
-            0 => None,
-            1 => Some(decode_directive(&mut r)?),
-            tag => return Err(SaError::Wire(format!("unknown directive tag {tag}"))),
-        };
+        let directive = Option::<SizingDirective>::decode(&mut r)?;
         // Force the armed directive so the next `ensure_armed` compares
         // against what the restored workers are actually running, instead
         // of rearming fresh ones over them.

@@ -37,7 +37,10 @@ pub const MAGIC: [u8; 2] = *b"SA";
 /// Version 2: `HelloAssign` carries the heartbeat cadence, window results
 /// carry degraded-merge accounting, and the rejoin/handoff messages
 /// (`HelloRejoin`, `Reassign`, `SnapshotSlice`) exist.
-pub const WIRE_VERSION: u8 = 2;
+///
+/// Version 3: `HelloAssign`'s sizing directive uses the `sa_types` codec,
+/// whose tags (1–4) are the ones sealed snapshots store.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Upper bound on a frame's payload length, checked before allocation.
 ///

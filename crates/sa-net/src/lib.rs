@@ -18,8 +18,12 @@
 //!   so a hostile peer cannot OOM the receiver.
 //!
 //! Payload encoding is the [`sa_types::wire`] format shared with the
-//! samplers; everything decodes back bit-identical, which is what lets a
-//! coordinator merge shipped digests exactly as if the worker samplers
+//! samplers and with sealed checkpoints. Messages carry `sa_types` values
+//! themselves — the [`sa_types::SizingDirective`] in an assignment, the
+//! [`sa_types::WindowResult`]s streamed back — through each type's one
+//! codec, so the protocol has no types of its own to keep in step with
+//! the engines. Everything decodes back bit-identical, which is what lets
+//! a coordinator merge shipped digests exactly as if the worker samplers
 //! were local (see the `streamapprox` crate's distributed tier).
 //!
 //! Every decode path returns a typed [`sa_types::SaError`] — truncated
@@ -48,5 +52,5 @@ mod message;
 pub mod snapshot;
 
 pub use frame::{FrameBuffer, MAX_FRAME, WIRE_VERSION};
-pub use message::{Digest, DigestPayload, Directive, Message, WindowResultMsg};
+pub use message::{Digest, DigestPayload, Message};
 pub use snapshot::{open_snapshot, seal_snapshot, MAX_SNAPSHOT, SNAPSHOT_VERSION};

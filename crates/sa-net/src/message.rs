@@ -3,65 +3,9 @@
 use sa_estimate::StratumStats;
 use sa_types::wire::put_varint;
 use sa_types::{
-    ApproxResult, Confidence, EventTime, IngestCounters, RunSeed, SaError, StratifiedSample,
-    StratumId, Window, WindowSpec, WireDecode, WireEncode, WireReader,
+    Confidence, EventTime, IngestCounters, RunSeed, SaError, SizingDirective, StratifiedSample,
+    Window, WindowResult, WindowSpec, WireDecode, WireEncode, WireReader,
 };
-
-/// The sampling directive a coordinator assigns to its workers — a
-/// network-serializable mirror of the `streamapprox` crate's sizing
-/// directive (which this crate cannot depend on without a cycle).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Directive {
-    /// Keep a fraction of the previous interval's volume, adapted each pane.
-    Fraction(f64),
-    /// A fixed reservoir per stratum.
-    PerStratum(usize),
-    /// A total budget shared across strata.
-    SharedTotal(usize),
-    /// No sampling: exact per-stratum statistics.
-    Everything,
-}
-
-impl WireEncode for Directive {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            Directive::Fraction(f) => {
-                out.push(0);
-                f.encode(out);
-            }
-            Directive::PerStratum(n) => {
-                out.push(1);
-                n.encode(out);
-            }
-            Directive::SharedTotal(n) => {
-                out.push(2);
-                n.encode(out);
-            }
-            Directive::Everything => out.push(3),
-        }
-    }
-}
-
-impl WireDecode for Directive {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        let directive = match r.read_u8()? {
-            0 => Directive::Fraction(r.read_f64()?),
-            1 => Directive::PerStratum(usize::decode(r)?),
-            2 => Directive::SharedTotal(usize::decode(r)?),
-            3 => Directive::Everything,
-            t => return Err(SaError::Wire(format!("unknown directive tag {t}"))),
-        };
-        let valid = match directive {
-            Directive::Fraction(f) => f > 0.0 && f <= 1.0,
-            Directive::PerStratum(n) | Directive::SharedTotal(n) => n > 0,
-            Directive::Everything => true,
-        };
-        if !valid {
-            return Err(SaError::Wire(format!("invalid directive {directive:?}")));
-        }
-        Ok(directive)
-    }
-}
 
 /// The mergeable state one worker ships for one closed pane.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,83 +79,17 @@ pub struct Digest {
     pub payload: DigestPayload,
 }
 
-impl WireEncode for Digest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.worker.encode(out);
-        self.pane.encode(out);
-        self.counters.encode(out);
-        self.watermark.encode(out);
-        put_varint(out, self.lag);
-        self.last_checkpoint_pane.encode(out);
-        put_varint(out, self.items_since_checkpoint);
-        put_varint(out, self.snapshot_bytes);
-        self.payload.encode(out);
-    }
-}
-
-impl WireDecode for Digest {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(Digest {
-            worker: u32::decode(r)?,
-            pane: Window::decode(r)?,
-            counters: IngestCounters::decode(r)?,
-            watermark: Option::<EventTime>::decode(r)?,
-            lag: r.read_varint()?,
-            last_checkpoint_pane: Option::<i64>::decode(r)?,
-            items_since_checkpoint: r.read_varint()?,
-            snapshot_bytes: r.read_varint()?,
-            payload: DigestPayload::decode(r)?,
-        })
-    }
-}
-
-/// A finalized window estimate, streamed back to workers that asked for
-/// results — a network-serializable mirror of the `streamapprox` crate's
-/// `WindowResult` built only from `sa-types` vocabulary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowResultMsg {
-    /// The window of event time the result covers.
-    pub window: Window,
-    /// The estimated sum with its error bound.
-    pub sum: ApproxResult,
-    /// The estimated mean with its error bound.
-    pub mean: ApproxResult,
-    /// Per-stratum sum estimates, in stratum order.
-    pub sum_by_stratum: Vec<(StratumId, ApproxResult)>,
-    /// Per-stratum mean estimates, in stratum order.
-    pub mean_by_stratum: Vec<(StratumId, ApproxResult)>,
-    /// `true` if any pane of this window merged without a dead shard's
-    /// digest; its error bounds are already widened by the lost mass.
-    pub degraded: bool,
-    /// Estimated items lost to missing shards across this window's panes.
-    pub lost_items: u64,
-}
-
-impl WireEncode for WindowResultMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.window.encode(out);
-        self.sum.encode(out);
-        self.mean.encode(out);
-        self.sum_by_stratum.encode(out);
-        self.mean_by_stratum.encode(out);
-        self.degraded.encode(out);
-        put_varint(out, self.lost_items);
-    }
-}
-
-impl WireDecode for WindowResultMsg {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(WindowResultMsg {
-            window: Window::decode(r)?,
-            sum: ApproxResult::decode(r)?,
-            mean: ApproxResult::decode(r)?,
-            sum_by_stratum: Vec::decode(r)?,
-            mean_by_stratum: Vec::decode(r)?,
-            degraded: bool::decode(r)?,
-            lost_items: r.read_varint()?,
-        })
-    }
-}
+sa_types::wire_struct!(Digest {
+    worker,
+    pane,
+    counters,
+    watermark,
+    lag,
+    last_checkpoint_pane,
+    items_since_checkpoint,
+    snapshot_bytes,
+    payload,
+});
 
 /// A protocol message, as it crosses a [`frame`](crate::frame)d transport.
 ///
@@ -256,7 +134,7 @@ pub enum Message {
         /// The run seed; the worker derives its shard-local seed from it.
         seed: RunSeed,
         /// The sampling directive every worker runs under.
-        directive: Directive,
+        directive: SizingDirective,
         /// Pane length in milliseconds (the slide of the window spec).
         pane_interval_ms: i64,
         /// Expected items per pane across all workers (sizes reservoirs).
@@ -289,7 +167,7 @@ pub enum Message {
         snapshot_bytes: u64,
     },
     /// A finalized window estimate (coordinator → worker).
-    WindowResult(WindowResultMsg),
+    WindowResult(WindowResult),
     /// A clean goodbye; the sender will close the connection next.
     Shutdown {
         /// The departing worker's id.
@@ -433,7 +311,7 @@ impl WireDecode for Message {
                 let worker = u32::decode(r)?;
                 let num_workers = u32::decode(r)?;
                 let seed = RunSeed::decode(r)?;
-                let directive = Directive::decode(r)?;
+                let directive = SizingDirective::decode(r)?;
                 let pane_interval_ms = i64::decode(r)?;
                 let expected_pane_items = u64::decode(r)?;
                 let window = WindowSpec::decode(r)?;
@@ -474,7 +352,7 @@ impl WireDecode for Message {
                 items_since_checkpoint: r.read_varint()?,
                 snapshot_bytes: r.read_varint()?,
             }),
-            4 => Ok(Message::WindowResult(WindowResultMsg::decode(r)?)),
+            4 => Ok(Message::WindowResult(WindowResult::decode(r)?)),
             5 => Ok(Message::Shutdown {
                 worker: u32::decode(r)?,
             }),
@@ -511,7 +389,7 @@ impl WireDecode for Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_types::{ErrorBound, StratumSample};
+    use sa_types::{ApproxResult, ErrorBound, StratumId, StratumSample};
 
     fn sample_digest() -> Digest {
         let sample: StratifiedSample<f64> = [
@@ -547,7 +425,7 @@ mod tests {
                 worker: 2,
                 num_workers: 3,
                 seed: RunSeed::new(42),
-                directive: Directive::Fraction(0.05),
+                directive: SizingDirective::Fraction(0.05),
                 pane_interval_ms: 500,
                 expected_pane_items: 10_000,
                 window: WindowSpec::sliding_millis(1_000, 500),
@@ -567,7 +445,7 @@ mod tests {
                 items_since_checkpoint: 7,
                 snapshot_bytes: 0,
             },
-            Message::WindowResult(WindowResultMsg {
+            Message::WindowResult(WindowResult {
                 window: Window::new(EventTime::from_millis(0), EventTime::from_millis(1_000)),
                 sum: result,
                 mean: result,
@@ -640,10 +518,6 @@ mod tests {
             Err(SaError::Wire(_))
         ));
         assert!(matches!(
-            Directive::decode(&mut WireReader::new(&[7])),
-            Err(SaError::Wire(_))
-        ));
-        assert!(matches!(
             DigestPayload::decode(&mut WireReader::new(&[2])),
             Err(SaError::Wire(_))
         ));
@@ -656,7 +530,7 @@ mod tests {
             worker.encode(&mut out);
             num_workers.encode(&mut out);
             RunSeed::new(1).encode(&mut out);
-            Directive::Everything.encode(&mut out);
+            SizingDirective::Everything.encode(&mut out);
             pane_ms.encode(&mut out);
             100u64.encode(&mut out);
             WindowSpec::sliding_millis(1_000, 500).encode(&mut out);
@@ -668,16 +542,6 @@ mod tests {
         assert!(Message::from_wire_bytes(&encode_assign(3, 3, 500)).is_err());
         assert!(Message::from_wire_bytes(&encode_assign(0, 3, 0)).is_err());
         assert!(Message::from_wire_bytes(&encode_assign(0, 3, 500)).is_ok());
-    }
-
-    #[test]
-    fn invalid_directives_rejected() {
-        for bad in [0.0, -0.5, 1.5, f64::NAN] {
-            let bytes = Directive::Fraction(bad).to_wire_bytes();
-            assert!(Directive::from_wire_bytes(&bytes).is_err(), "{bad}");
-        }
-        let bytes = Directive::PerStratum(0).to_wire_bytes();
-        assert!(Directive::from_wire_bytes(&bytes).is_err());
     }
 
     #[test]

@@ -248,7 +248,13 @@ impl<V> OasrsSampler<V> {
     /// sampler state from the same seed — chunk boundaries are invisible
     /// to the sample.
     pub fn observe_batch(&mut self, items: &mut Vec<StreamItem<V>>) {
-        let mut iter = items.drain(..);
+        self.observe_drain(items.drain(..));
+    }
+
+    /// [`observe_batch`](OasrsSampler::observe_batch) over a drained
+    /// range of a buffer — how engines hand a sampler the part of a run
+    /// that falls in the open pane, leaving the rest in place.
+    pub fn observe_drain(&mut self, mut iter: std::vec::Drain<'_, StreamItem<V>>) {
         while let Some(first) = iter.next() {
             let stratum = first.stratum;
             // Length of the run of same-stratum followers still in the

@@ -62,6 +62,22 @@ impl fmt::Display for Confidence {
     }
 }
 
+/// What the sampler should do for the next time interval: the
+/// per-interval form of a [`QueryBudget`] that cost policies produce and
+/// every engine — local or distributed — runs under.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SizingDirective {
+    /// Target this sampling fraction (OASRS adapts per-stratum reservoir
+    /// capacities to `fraction × last interval's arrivals`).
+    Fraction(f64),
+    /// Give every stratum a reservoir of exactly this many slots.
+    PerStratum(usize),
+    /// Split this total budget evenly over the strata seen.
+    SharedTotal(usize),
+    /// Process everything (native execution / 100% fraction).
+    Everything,
+}
+
 /// A user-specified query execution budget (§2.1 of the paper).
 ///
 /// StreamApprox lets users trade output accuracy for computation efficiency

@@ -168,29 +168,14 @@ pub struct SessionSnapshot {
     pub replay: Vec<(usize, u64)>,
 }
 
-impl WireEncode for SessionSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.engine.encode(out);
-        self.watermark.encode(out);
-        self.ingest.encode(out);
-        put_varint(out, self.items_pushed);
-        put_varint(out, self.windows_completed);
-        self.replay.encode(out);
-    }
-}
-
-impl WireDecode for SessionSnapshot {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(SessionSnapshot {
-            engine: EngineSnapshot::decode(r)?,
-            watermark: Option::<EventTime>::decode(r)?,
-            ingest: IngestCounters::decode(r)?,
-            items_pushed: r.read_varint()?,
-            windows_completed: r.read_varint()?,
-            replay: Vec::<(usize, u64)>::decode(r)?,
-        })
-    }
-}
+crate::wire_struct!(SessionSnapshot {
+    engine,
+    watermark,
+    ingest,
+    items_pushed,
+    windows_completed,
+    replay,
+});
 
 #[cfg(test)]
 mod tests {

@@ -26,11 +26,10 @@
 //! carries the format version for its whole payload, so individual values
 //! stay tag-free and compact.
 
-use crate::budget::Confidence;
+use crate::budget::{Confidence, SizingDirective};
 use crate::error::SaError;
-use crate::fault::WorkerHealth;
 use crate::item::{EventTime, StratumId};
-use crate::result::{ApproxResult, ErrorBound};
+use crate::result::{ApproxResult, ErrorBound, WindowResult};
 use crate::sample::{StratifiedSample, StratumSample};
 use crate::seed::RunSeed;
 use crate::session::{IngestCounters, ShardIngest, WorkerStatus};
@@ -249,6 +248,45 @@ pub fn put_zigzag(out: &mut Vec<u8>, v: i64) {
 /// [`WireReader::read_u64_le`]).
 pub fn put_u64_le(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Implements [`WireEncode`] and [`WireDecode`] for a struct whose wire
+/// layout is the listed fields in order, each in its own encoding — the
+/// codec of every plain field sequence. Types whose decoders check
+/// invariants ([`Window`], [`StratumSample`], …) spell theirs out by hand.
+///
+/// ```
+/// use sa_types::{wire_struct, WireDecode, WireEncode};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Pair {
+///     id: u32,
+///     load: f64,
+/// }
+/// wire_struct!(Pair { id, load });
+///
+/// let p = Pair { id: 7, load: 0.5 };
+/// assert_eq!(Pair::from_wire_bytes(&p.to_wire_bytes()).unwrap(), p);
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::wire::WireEncode for $ty {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                $($crate::wire::WireEncode::encode(&self.$field, out);)+
+            }
+        }
+
+        impl $crate::wire::WireDecode for $ty {
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::SaError> {
+                Ok($ty {
+                    $($field: $crate::wire::WireDecode::decode(r)?,)+
+                })
+            }
+        }
+    };
 }
 
 // ---- primitive impls -------------------------------------------------------
@@ -537,91 +575,90 @@ impl WireDecode for ErrorBound {
     }
 }
 
-impl WireEncode for ApproxResult {
+wire_struct!(ApproxResult {
+    value,
+    bound,
+    sample_size,
+    population_size,
+});
+
+wire_struct!(IngestCounters {
+    ingested,
+    dropped_late,
+});
+
+wire_struct!(ShardIngest {
+    shard,
+    ingested,
+    sampled,
+    chunks_routed,
+    chunks_recycled,
+});
+
+wire_struct!(WorkerStatus {
+    worker,
+    ingest,
+    watermark,
+    lag,
+    last_checkpoint_pane,
+    items_since_checkpoint,
+    snapshot_bytes,
+    health,
+    respawns,
+});
+
+wire_struct!(WindowResult {
+    window,
+    sum,
+    mean,
+    sum_by_stratum,
+    mean_by_stratum,
+    degraded,
+    lost_items,
+});
+
+// Tags 1–4 are the checkpoint layout sealed snapshots have always used;
+// the wire protocol shares them since version 3.
+impl WireEncode for SizingDirective {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.value.encode(out);
-        self.bound.encode(out);
-        put_varint(out, self.sample_size);
-        put_varint(out, self.population_size);
+        match *self {
+            SizingDirective::Fraction(f) => {
+                out.push(1);
+                f.encode(out);
+            }
+            SizingDirective::PerStratum(n) => {
+                out.push(2);
+                n.encode(out);
+            }
+            SizingDirective::SharedTotal(n) => {
+                out.push(3);
+                n.encode(out);
+            }
+            SizingDirective::Everything => out.push(4),
+        }
     }
 }
 
-impl WireDecode for ApproxResult {
+impl WireDecode for SizingDirective {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(ApproxResult {
-            value: r.read_f64()?,
-            bound: ErrorBound::decode(r)?,
-            sample_size: r.read_varint()?,
-            population_size: r.read_varint()?,
-        })
-    }
-}
-
-impl WireEncode for IngestCounters {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.ingested);
-        put_varint(out, self.dropped_late);
-    }
-}
-
-impl WireDecode for IngestCounters {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(IngestCounters {
-            ingested: r.read_varint()?,
-            dropped_late: r.read_varint()?,
-        })
-    }
-}
-
-impl WireEncode for ShardIngest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.shard.encode(out);
-        put_varint(out, self.ingested);
-        put_varint(out, self.sampled);
-        put_varint(out, self.chunks_routed);
-        put_varint(out, self.chunks_recycled);
-    }
-}
-
-impl WireDecode for ShardIngest {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(ShardIngest {
-            shard: usize::decode(r)?,
-            ingested: r.read_varint()?,
-            sampled: r.read_varint()?,
-            chunks_routed: r.read_varint()?,
-            chunks_recycled: r.read_varint()?,
-        })
-    }
-}
-
-impl WireEncode for WorkerStatus {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.worker.encode(out);
-        self.ingest.encode(out);
-        self.watermark.encode(out);
-        put_varint(out, self.lag);
-        self.last_checkpoint_pane.encode(out);
-        put_varint(out, self.items_since_checkpoint);
-        put_varint(out, self.snapshot_bytes);
-        self.health.encode(out);
-        self.respawns.encode(out);
-    }
-}
-
-impl WireDecode for WorkerStatus {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(WorkerStatus {
-            worker: u32::decode(r)?,
-            ingest: IngestCounters::decode(r)?,
-            watermark: Option::<EventTime>::decode(r)?,
-            lag: r.read_varint()?,
-            last_checkpoint_pane: Option::<i64>::decode(r)?,
-            items_since_checkpoint: r.read_varint()?,
-            snapshot_bytes: r.read_varint()?,
-            health: WorkerHealth::decode(r)?,
-            respawns: u32::decode(r)?,
-        })
+        let directive = match r.read_u8()? {
+            1 => SizingDirective::Fraction(r.read_f64()?),
+            2 => SizingDirective::PerStratum(usize::decode(r)?),
+            3 => SizingDirective::SharedTotal(usize::decode(r)?),
+            4 => SizingDirective::Everything,
+            t => return Err(SaError::Wire(format!("unknown sizing-directive tag {t}"))),
+        };
+        let valid = match directive {
+            SizingDirective::Fraction(f) => f > 0.0 && f <= 1.0,
+            SizingDirective::PerStratum(n) | SizingDirective::SharedTotal(n) => n > 0,
+            SizingDirective::Everything => true,
+        };
+        if !valid {
+            return Err(SaError::Wire(format!(
+                "invalid sizing directive {directive:?}"
+            )));
+        }
+        Ok(directive)
     }
 }
 
@@ -693,6 +730,7 @@ impl<V: WireDecode> WireDecode for StratifiedSample<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::WorkerHealth;
     use proptest::prelude::*;
 
     fn roundtrip<T: WireEncode + WireDecode + PartialEq + std::fmt::Debug>(v: &T) {
@@ -778,6 +816,64 @@ mod tests {
         .into_iter()
         .collect();
         roundtrip(&sample);
+    }
+
+    #[test]
+    fn directive_codec_roundtrips_every_variant() {
+        for d in [
+            SizingDirective::Fraction(0.25),
+            SizingDirective::PerStratum(7),
+            SizingDirective::SharedTotal(1_000),
+            SizingDirective::Everything,
+        ] {
+            let mut out = Vec::new();
+            d.encode(&mut out);
+            let mut r = WireReader::new(&out);
+            assert_eq!(SizingDirective::decode(&mut r).unwrap(), d);
+            assert_eq!(r.remaining(), 0);
+        }
+        for unknown in [[9u8], [7], [0]] {
+            let mut r = WireReader::new(&unknown);
+            assert!(matches!(
+                SizingDirective::decode(&mut r),
+                Err(SaError::Wire(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn invalid_directives_rejected() {
+        for bad in [0.0, -0.5, 1.5, f64::NAN] {
+            let bytes = SizingDirective::Fraction(bad).to_wire_bytes();
+            assert!(SizingDirective::from_wire_bytes(&bytes).is_err(), "{bad}");
+        }
+        for bad in [
+            SizingDirective::PerStratum(0),
+            SizingDirective::SharedTotal(0),
+        ] {
+            assert!(SizingDirective::from_wire_bytes(&bad.to_wire_bytes()).is_err());
+        }
+    }
+
+    #[test]
+    fn window_result_codec_roundtrips_bit_exact() {
+        let result = |v: f64| ApproxResult::new(v, ErrorBound::new(0.5, Confidence::P95), 3, 10);
+        let w = WindowResult {
+            window: Window::new(EventTime::from_secs(0), EventTime::from_secs(10)),
+            sum: result(10.125),
+            mean: result(1.0125),
+            sum_by_stratum: vec![(StratumId(0), result(4.0)), (StratumId(1), result(6.125))],
+            mean_by_stratum: vec![(StratumId(0), result(2.0))],
+            degraded: true,
+            lost_items: 512,
+        };
+        let mut out = Vec::new();
+        w.encode(&mut out);
+        let mut r = WireReader::new(&out);
+        let back = WindowResult::decode(&mut r).unwrap();
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(back, w);
+        assert_eq!(back.sum.value.to_bits(), w.sum.value.to_bits());
     }
 
     #[test]

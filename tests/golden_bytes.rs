@@ -11,10 +11,11 @@
 
 use sa_batched::Cluster;
 use sa_estimate::{StratumStats, Welford};
-use sa_net::{Digest, DigestPayload, Directive, Message, WindowResultMsg};
+use sa_net::{Digest, DigestPayload, Message};
 use sa_types::{
-    ApproxResult, Confidence, ErrorBound, EventTime, IngestCounters, RunSeed, StratifiedSample,
-    StratumId, StratumSample, StreamItem, Window, WindowSpec, WireEncode,
+    ApproxResult, Confidence, ErrorBound, EventTime, IngestCounters, RunSeed, SizingDirective,
+    StratifiedSample, StratumId, StratumSample, StreamItem, Window, WindowResult, WindowSpec,
+    WireEncode,
 };
 use std::path::PathBuf;
 use streamapprox::{
@@ -64,7 +65,7 @@ fn digest(payload: DigestPayload) -> Digest {
     }
 }
 
-fn assign(directive: Directive) -> Message {
+fn assign(directive: SizingDirective) -> Message {
     Message::HelloAssign {
         worker: 2,
         num_workers: 3,
@@ -103,20 +104,23 @@ fn messages() -> Vec<(&'static str, Message)> {
         ),
         (
             "msg_hello_assign_fraction",
-            assign(Directive::Fraction(0.05)),
+            assign(SizingDirective::Fraction(0.05)),
         ),
         (
             "msg_hello_assign_per_stratum",
-            assign(Directive::PerStratum(64)),
+            assign(SizingDirective::PerStratum(64)),
         ),
         (
             "msg_hello_assign_shared_total",
-            assign(Directive::SharedTotal(1_000)),
+            assign(SizingDirective::SharedTotal(1_000)),
         ),
-        ("msg_hello_assign_everything", assign(Directive::Everything)),
+        (
+            "msg_hello_assign_everything",
+            assign(SizingDirective::Everything),
+        ),
         (
             "msg_window_result",
-            Message::WindowResult(WindowResultMsg {
+            Message::WindowResult(WindowResult {
                 window: Window::new(EventTime::from_millis(0), EventTime::from_millis(1_000)),
                 sum: result(10.125),
                 mean: result(1.0125),
