@@ -1719,14 +1719,17 @@ impl<R> Engine<R> for DigestEngine<R> {
             }
             let n = self.cursor.in_pane(items);
             self.watermark = Some(items[n - 1].time);
+            self.sampler.observe_drain(items.drain(..n));
+        }
+        // The heartbeat thread reports progress as of the last run.
+        if let Some(t) = self.watermark {
             self.shared
                 .watermark
-                .store(items[n - 1].time.as_millis(), Ordering::Relaxed);
-            self.sampler.observe_drain(items.drain(..n));
-            self.shared
-                .ingested
-                .store(self.sampler.counters().0, Ordering::Relaxed);
+                .store(t.as_millis(), Ordering::Relaxed);
         }
+        self.shared
+            .ingested
+            .store(self.sampler.counters().0, Ordering::Relaxed);
         Ok(())
     }
 
